@@ -14,25 +14,37 @@
 //! boundary sequence, the whole deployment is deterministic: same config
 //! and seed ⇒ bit-identical per-shard histories and state roots.
 //!
+//! # One op engine
+//!
+//! Every operation is an [`OpSpec`]: one `direct` transaction plus
+//! participant legs, each routed by its key. A transfer is one spec
+//! shape (a `prepare_debit` leg keyed by the source account, a
+//! `prepare_credit` leg keyed by the destination; see
+//! [`ShardedDeployment::schedule_transfer`]); scenario crates such as the
+//! TPC-C workload describe their multi-shard transactions the same way.
+//! When every leg routes to one shard, the `direct` transaction runs
+//! there atomically and the op never pays the 2PC cost.
+//!
 //! # 2PC over Raft
 //!
-//! A cross-shard transfer `t` from account `src` (shard A) to `dst`
-//! (shard B) runs as a per-transfer state machine:
+//! An op whose legs span shards runs the per-op state machine,
+//! coordinated from the first leg's shard (a transfer's source shard):
 //!
 //! 1. **begin** — the coordinator record (`CoordinatorContract`) is
-//!    written on the *source* shard's channel, ordered through its Raft
-//!    log. The transfer's trace is minted here.
-//! 2. **prepare** — `prepare_debit` on A reserves the funds under a lock;
-//!    `prepare_credit` on B records the intent. An endorsement rejection
+//!    written on the coordinator shard's channel, ordered through its
+//!    Raft log. The op's trace is minted here.
+//! 2. **prepare** — every leg's `prepare` function reserves its effects
+//!    under the request id (a transfer's `prepare_debit` locks the funds,
+//!    its `prepare_credit` records the intent). An endorsement rejection
 //!    is a NO vote; an MVCC invalidation is neither vote — the leg is
 //!    re-driven until it commits decisively.
-//! 3. **decide** — once both votes are in, the decision is written to the
+//! 3. **decide** — once every vote is in, the decision is written to the
 //!    coordinator record *and replicated through Raft* before any
 //!    acknowledgement: a decision that survives only in the
 //!    orchestrator's memory could be lost with a crashed leader, but a
 //!    decision in the Raft log survives any minority failure.
-//! 4. **finalize** — `commit`/`abort` legs on both shards. A leg
-//!    invalidated by a concurrent balance write is re-driven *from the
+//! 4. **finalize** — `commit`/`abort` on every leg's participant. A leg
+//!    invalidated by a concurrent write is re-driven *from the
 //!    replicated decision record* (the coordinator-recovery path): the
 //!    orchestrator re-reads the on-chain decision and re-submits, so an
 //!    in-doubt request always terminates even across failover.
@@ -68,18 +80,19 @@ use crate::metrics::ShardMetrics;
 
 /// Span stages for the 2PC phases, disjoint from the cluster pipeline's
 /// (`ledgerview_cluster::cluster::stage`). Every per-shard leg submits
-/// with a context parented under its phase span, so one cross-shard
-/// transfer renders as a single Perfetto trace spanning all shard lanes.
+/// with a context parented under its phase span, so one cross-shard op
+/// renders as a single Perfetto trace spanning all shard lanes.
 pub mod stage {
-    /// Coordinator `begin` on the source shard.
+    /// Coordinator `begin` on the first leg's shard.
     pub const BEGIN: u64 = 0x2000;
-    /// The prepare fan-out (both shards).
+    /// The prepare fan-out (every leg).
     pub const PREPARE: u64 = 0x2001;
     /// The replicated decision write.
     pub const DECIDE: u64 = 0x2002;
     /// The commit/abort fan-out.
     pub const FINALIZE: u64 = 0x2003;
-    /// A single-shard (non-2PC) transfer.
+    /// A single-shard op's `direct` transaction (no 2PC), transfers
+    /// included.
     pub const LOCAL: u64 = 0x2004;
 }
 
@@ -99,9 +112,9 @@ pub struct ShardConfig {
     /// Block-cutter period on every shard.
     pub block_interval: SimTime,
     /// Lock-step slice: how far each cluster advances before the
-    /// orchestrator looks at outcomes again. Must comfortably exceed
-    /// nothing in particular — smaller slices mean lower 2PC latency and
-    /// more orchestrator activity; determinism is unaffected.
+    /// orchestrator looks at outcomes again. Must be non-zero. Smaller
+    /// slices mean lower 2PC latency and more orchestrator activity;
+    /// determinism is unaffected.
     pub slice: SimTime,
     /// Per-shard admission rate (transactions per virtual second).
     pub admission_rate_per_sec: f64,
@@ -178,7 +191,7 @@ pub enum ShardError {
     NotConverged {
         /// The deadline that expired.
         deadline: SimTime,
-        /// Transfers still in flight.
+        /// Ops still in flight, transfers included.
         inflight: usize,
     },
     /// Global conservation was violated: Σ balances + Σ locks ≠ Σ opened.
@@ -200,10 +213,9 @@ impl std::fmt::Display for ShardError {
             ShardError::Cluster { shard, source } => {
                 write!(f, "shard {shard}: {source}")
             }
-            ShardError::NotConverged { deadline, inflight } => write!(
-                f,
-                "not converged by {deadline:?}: {inflight} transfers in flight"
-            ),
+            ShardError::NotConverged { deadline, inflight } => {
+                write!(f, "not converged by {deadline:?}: {inflight} ops in flight")
+            }
             ShardError::Conservation { expected, actual } => write!(
                 f,
                 "conservation violated: opened {expected}, shards hold {actual}"
@@ -272,7 +284,7 @@ pub struct ShardReport {
     pub aborted: u64,
     /// Admission-shed transfers.
     pub shed: u64,
-    /// Total leg re-drives across all transfers.
+    /// Total leg re-drives across all ops, transfers included.
     pub redrives: u64,
     /// Transactions committed on every shard combined (all workloads).
     pub total_txs: u64,
@@ -300,8 +312,8 @@ pub struct OpLeg {
 }
 
 /// A generic operation scheduled through the deployment's router and —
-/// when its legs land on different shards — its 2PC orchestrator. This is
-/// the transfer machinery generalized: scenario crates (e.g. the TPC-C
+/// when its legs land on different shards — its 2PC orchestrator.
+/// Transfers are one `OpSpec` shape; scenario crates (e.g. the TPC-C
 /// workload) describe their multi-shard transactions as an `OpSpec`
 /// instead of forking the deployment.
 #[derive(Clone, Debug)]
@@ -367,36 +379,9 @@ struct Op {
     no_reason: Option<String>,
 }
 
-#[derive(Clone, Debug)]
-enum XferState {
-    WaitLocal,
-    WaitBegin,
-    Preparing { votes: [Option<bool>; 2] },
-    WaitDecide { commit: bool },
-    Finalizing { commit: bool, remaining: Vec<usize> },
-    Done,
-}
-
-struct Xfer {
-    rec: TransferRecord,
-    ctx: TraceContext,
-    state: XferState,
-    submitted_us: u64,
-    prepare_started_us: u64,
-    decide_started_us: u64,
-    finalize_started_us: u64,
-    /// First NO-vote reason, if any.
-    no_reason: Option<String>,
-}
-
 #[derive(Clone, Copy, Debug)]
 enum TagKind {
     Open { shard: usize, amount: u64 },
-    Local { t: usize },
-    Begin { t: usize },
-    Prepare { t: usize, leg: usize },
-    Decide { t: usize },
-    Finalize { t: usize, leg: usize },
     OpDirect { o: usize },
     OpBegin { o: usize },
     OpPrepare { o: usize, leg: usize },
@@ -411,12 +396,15 @@ pub struct ShardedDeployment {
     clusters: Vec<ClusterSim>,
     router: ShardRouter,
     now: SimTime,
-    xfers: Vec<Xfer>,
+    /// Every scheduled op in schedule order, transfers included.
     ops: Vec<Op>,
+    /// [`ShardedDeployment::schedule_op`] index → `ops` index.
+    spec_ops: Vec<usize>,
+    /// [`ShardedDeployment::schedule_transfer`] index → `ops` index and
+    /// the transfer's record (its status and redrives live on the op).
+    transfers: Vec<(usize, TransferRecord)>,
     tags: std::collections::BTreeMap<u64, TagKind>,
     next_tag: u64,
-    next_ordinal: u64,
-    next_op_ordinal: u64,
     opened_total: u64,
     redrives: u64,
     /// Leader kills awaiting a visible leader on their shard.
@@ -445,12 +433,11 @@ impl ShardedDeployment {
             clusters,
             router,
             now: SimTime::ZERO,
-            xfers: Vec::new(),
             ops: Vec::new(),
+            spec_ops: Vec::new(),
+            transfers: Vec::new(),
             tags: std::collections::BTreeMap::new(),
             next_tag: 0,
-            next_ordinal: 0,
-            next_op_ordinal: 0,
             opened_total: 0,
             redrives: 0,
             pending_kills: Vec::new(),
@@ -505,97 +492,47 @@ impl ShardedDeployment {
         self.clusters[shard].schedule_call(at, TRANSFER_CC, "open", args, tag, None);
     }
 
-    /// Schedule a transfer. Routed by the two account keys: same shard ⇒
-    /// a single atomic `transfer` transaction; different shards ⇒ the
-    /// full 2PC protocol. Returns the transfer's index into
-    /// [`ShardReport::transfers`].
+    /// Schedule a transfer as one [`OpSpec`] with id `t<ordinal>`: same
+    /// shard ⇒ a single atomic `transfer` transaction; different shards
+    /// ⇒ the full 2PC protocol, coordinated from the source shard.
+    /// Returns the transfer's index into [`ShardReport::transfers`].
     ///
     /// Schedule in non-decreasing `at` order (admission buckets refill
     /// from the schedule clock).
     pub fn schedule_transfer(&mut self, at: SimTime, src: &str, dst: &str, amount: u64) -> usize {
-        let ordinal = self.next_ordinal;
-        self.next_ordinal += 1;
-        let id = format!("t{ordinal}");
-        let src_key = format!("acct~{src}");
-        let dst_key = format!("acct~{dst}");
-        let admitted = self
-            .router
-            .admit([src_key.as_str(), dst_key.as_str()], at.as_micros());
-        let src_shard = self.router.map().shard_for_key(&src_key);
-        let dst_shard = self.router.map().shard_for_key(&dst_key);
-        // The transfer's root trace context: every phase span and every
-        // per-shard leg parents under it.
-        let ctx = TraceContext::root(self.cfg.seed ^ 0x7366_6572_5f32_7063, ordinal);
-        let mut xfer = Xfer {
-            rec: TransferRecord {
-                id: id.clone(),
-                src: src.to_string(),
-                dst: dst.to_string(),
-                amount,
-                src_shard,
-                dst_shard,
-                status: TransferStatus::InFlight,
-                redrives: 0,
-            },
-            ctx,
-            state: XferState::Done,
-            submitted_us: at.as_micros(),
-            prepare_started_us: 0,
-            decide_started_us: 0,
-            finalize_started_us: 0,
-            no_reason: None,
+        let t = self.transfers.len();
+        let id = format!("t{t}");
+        let amount_be = amount.to_be_bytes().to_vec();
+        let leg = |acct: &str, prepare: &str| OpLeg {
+            key: format!("acct~{acct}"),
+            chaincode: TRANSFER_CC.into(),
+            prepare: prepare.into(),
+            args: vec![acct.as_bytes().to_vec(), amount_be.clone()],
         };
-        let t = self.xfers.len();
-        match admitted {
-            Err(_) => {
-                xfer.rec.status = TransferStatus::Shed;
-                if let Some(m) = &self.metrics {
-                    m.aborts_admission.inc();
-                }
-                self.xfers.push(xfer);
-                return t;
-            }
-            Ok(Route::Single(_)) => {
-                xfer.state = XferState::WaitLocal;
-                if let Some(m) = &self.metrics {
-                    m.transfers_single.inc();
-                }
-                self.xfers.push(xfer);
-                let tag = self.mint_tag(TagKind::Local { t });
-                let args = vec![
-                    src.as_bytes().to_vec(),
-                    dst.as_bytes().to_vec(),
-                    amount.to_be_bytes().to_vec(),
-                ];
-                let leg_ctx = ctx.with_parent(ctx.span_id(stage::LOCAL));
-                self.clusters[src_shard].schedule_call(
-                    at,
-                    TRANSFER_CC,
-                    "transfer",
-                    args,
-                    tag,
-                    Some(leg_ctx),
-                );
-            }
-            Ok(Route::Cross(_)) => {
-                xfer.state = XferState::WaitBegin;
-                if let Some(m) = &self.metrics {
-                    m.transfers_cross.inc();
-                }
-                self.xfers.push(xfer);
-                let tag = self.mint_tag(TagKind::Begin { t });
-                let args = vec![id.into_bytes()];
-                let leg_ctx = ctx.with_parent(ctx.span_id(stage::BEGIN));
-                self.clusters[src_shard].schedule_call(
-                    at,
-                    COORDINATOR_CC,
-                    "begin",
-                    args,
-                    tag,
-                    Some(leg_ctx),
-                );
-            }
-        }
+        let spec = OpSpec {
+            id: id.clone(),
+            direct: (
+                TRANSFER_CC.into(),
+                "transfer".into(),
+                vec![src.into(), dst.into(), amount_be.clone()],
+            ),
+            legs: vec![leg(src, "prepare_debit"), leg(dst, "prepare_credit")],
+        };
+        // Transfer traces root under their own salt and ordinal, so they
+        // never collide with `schedule_op` traces under the same seed.
+        let ctx = TraceContext::root(self.cfg.seed ^ 0x7366_6572_5f32_7063, t as u64);
+        let o = self.start_op(at, spec, ctx);
+        let rec = TransferRecord {
+            id,
+            src: src.to_string(),
+            dst: dst.to_string(),
+            amount,
+            src_shard: self.ops[o].legs[0].shard,
+            dst_shard: self.ops[o].legs[1].shard,
+            status: TransferStatus::InFlight,
+            redrives: 0,
+        };
+        self.transfers.push((o, rec));
         t
     }
 
@@ -608,8 +545,18 @@ impl ShardedDeployment {
     /// Schedule in non-decreasing `at` order, interleaved freely with
     /// transfers (both share the router's admission buckets).
     pub fn schedule_op(&mut self, at: SimTime, spec: OpSpec) -> usize {
-        let ordinal = self.next_op_ordinal;
-        self.next_op_ordinal += 1;
+        let idx = self.spec_ops.len();
+        // A salt disjoint from the transfer path's, so op traces never
+        // collide with transfer traces under the same seed.
+        let ctx = TraceContext::root(self.cfg.seed ^ 0x6F70_5F32_7063_3031, idx as u64);
+        let o = self.start_op(at, spec, ctx);
+        self.spec_ops.push(o);
+        idx
+    }
+
+    /// Admit and route one op, then submit its first transaction (the
+    /// `direct` one, or the coordinator `begin`). Returns its `ops` index.
+    fn start_op(&mut self, at: SimTime, spec: OpSpec, ctx: TraceContext) -> usize {
         let admitted = self
             .router
             .admit(spec.legs.iter().map(|l| l.key.as_str()), at.as_micros());
@@ -624,9 +571,6 @@ impl ShardedDeployment {
             })
             .collect();
         let coordinator_shard = legs.first().map(|l| l.shard).unwrap_or(0);
-        // A salt disjoint from the transfer path's, so op traces never
-        // collide with transfer traces under the same seed.
-        let ctx = TraceContext::root(self.cfg.seed ^ 0x6F70_5F32_7063_3031, ordinal);
         let mut op = Op {
             rec: OpRecord {
                 id: spec.id.clone(),
@@ -657,7 +601,6 @@ impl ShardedDeployment {
                 self.ops.push(op);
             }
             Ok(Route::Single(shard)) => {
-                op.rec.cross = false;
                 op.direct_shard = shard;
                 op.state = OpState::WaitDirect;
                 if let Some(m) = &self.metrics {
@@ -666,7 +609,6 @@ impl ShardedDeployment {
                 self.ops.push(op);
                 let tag = self.mint_tag(TagKind::OpDirect { o });
                 let (cc, function, args) = self.ops[o].direct.clone();
-                let ctx = self.ops[o].ctx;
                 let leg_ctx = ctx.with_parent(ctx.span_id(stage::LOCAL));
                 self.clusters[shard].schedule_call(at, &cc, &function, args, tag, Some(leg_ctx));
             }
@@ -679,7 +621,6 @@ impl ShardedDeployment {
                 self.ops.push(op);
                 let tag = self.mint_tag(TagKind::OpBegin { o });
                 let args = vec![spec.id.into_bytes()];
-                let ctx = self.ops[o].ctx;
                 let leg_ctx = ctx.with_parent(ctx.span_id(stage::BEGIN));
                 self.clusters[coordinator_shard].schedule_call(
                     at,
@@ -696,12 +637,16 @@ impl ShardedDeployment {
 
     /// One scheduled op's record.
     pub fn op(&self, idx: usize) -> &OpRecord {
-        &self.ops[idx].rec
+        &self.ops[self.spec_ops[idx]].rec
     }
 
-    /// Every scheduled op's record, in schedule order.
+    /// Every [`ShardedDeployment::schedule_op`] record, in schedule
+    /// order (transfers are reported in [`ShardReport::transfers`]).
     pub fn op_records(&self) -> Vec<OpRecord> {
-        self.ops.iter().map(|o| o.rec.clone()).collect()
+        self.spec_ops
+            .iter()
+            .map(|&o| self.ops[o].rec.clone())
+            .collect()
     }
 
     /// Schedule a [`Fault`] on one shard's cluster.
@@ -730,7 +675,7 @@ impl ShardedDeployment {
     }
 
     /// Run lock-step slices until every cluster is quiescent and every
-    /// transfer terminal, or fail at `deadline`.
+    /// op (transfers included) terminal, or fail at `deadline`.
     pub fn run_until_converged(&mut self, deadline: SimTime) -> Result<SimTime, ShardError> {
         loop {
             if self.converged() {
@@ -740,15 +685,10 @@ impl ShardedDeployment {
                 return Err(ShardError::NotConverged {
                     deadline,
                     inflight: self
-                        .xfers
+                        .ops
                         .iter()
-                        .filter(|x| x.rec.status == TransferStatus::InFlight)
-                        .count()
-                        + self
-                            .ops
-                            .iter()
-                            .filter(|o| o.rec.status == TransferStatus::InFlight)
-                            .count(),
+                        .filter(|o| o.rec.status == TransferStatus::InFlight)
+                        .count(),
                 });
             }
             let next = (self.now + self.cfg.slice).min(deadline);
@@ -759,10 +699,6 @@ impl ShardedDeployment {
     fn converged(&self) -> bool {
         self.pending_kills.is_empty()
             && self
-                .xfers
-                .iter()
-                .all(|x| x.rec.status != TransferStatus::InFlight)
-            && self
                 .ops
                 .iter()
                 .all(|o| o.rec.status != TransferStatus::InFlight)
@@ -771,7 +707,7 @@ impl ShardedDeployment {
 
     /// One orchestrator step at a lock-step boundary: resolve leader
     /// kills, drain every shard's outcomes in shard order, advance the
-    /// per-transfer state machines, sample queue depths.
+    /// per-op state machines, sample queue depths.
     fn advance(&mut self) {
         let now = self.now;
         let mut kills = std::mem::take(&mut self.pending_kills);
@@ -811,17 +747,6 @@ impl ShardedDeployment {
             if valid.is_valid() {
                 let shard = match kind {
                     TagKind::Open { shard, .. } => Some(shard),
-                    TagKind::Local { t } => Some(self.xfers[t].rec.src_shard),
-                    TagKind::Begin { t } | TagKind::Decide { t } => {
-                        Some(self.xfers[t].rec.src_shard)
-                    }
-                    TagKind::Prepare { t, leg } | TagKind::Finalize { t, leg } => {
-                        Some(if leg == 0 {
-                            self.xfers[t].rec.src_shard
-                        } else {
-                            self.xfers[t].rec.dst_shard
-                        })
-                    }
                     TagKind::OpDirect { o } => Some(self.ops[o].direct_shard),
                     TagKind::OpBegin { o } | TagKind::OpDecide { o } => {
                         Some(self.ops[o].coordinator_shard)
@@ -842,409 +767,11 @@ impl ShardedDeployment {
                 } => self.opened_total += amount,
                 other => self.errors.push(format!("open failed: {other:?}")),
             },
-            TagKind::Local { t } => self.on_local(t, outcome),
-            TagKind::Begin { t } => self.on_begin(t, outcome),
-            TagKind::Prepare { t, leg } => self.on_prepare(t, leg, outcome),
-            TagKind::Decide { t } => self.on_decide(t, outcome),
-            TagKind::Finalize { t, leg } => self.on_finalize(t, leg, outcome),
             TagKind::OpDirect { o } => self.on_op_direct(o, outcome),
             TagKind::OpBegin { o } => self.on_op_begin(o, outcome),
             TagKind::OpPrepare { o, leg } => self.on_op_prepare(o, leg, outcome),
             TagKind::OpDecide { o } => self.on_op_decide(o, outcome),
             TagKind::OpFinalize { o, leg } => self.on_op_finalize(o, leg, outcome),
-        }
-    }
-
-    fn record_phase_span(&self, t: usize, name: &str, phase: u64, parent: u64, start_us: u64) {
-        let Some(m) = &self.metrics else { return };
-        let x = &self.xfers[t];
-        let ctx = if parent == 0 {
-            x.ctx
-        } else {
-            x.ctx.with_parent(x.ctx.span_id(parent))
-        };
-        m.telemetry.tracer().record_linked(
-            name,
-            start_us,
-            self.now.as_micros(),
-            m.coordinator_proc,
-            "2pc",
-            x.ctx.span_id(phase),
-            ctx,
-        );
-    }
-
-    fn on_local(&mut self, t: usize, outcome: InvokeOutcome) {
-        match outcome {
-            InvokeOutcome::Committed {
-                valid: TxValidation::Valid,
-            } => {
-                self.record_phase_span(
-                    t,
-                    "xfer.local",
-                    stage::LOCAL,
-                    0,
-                    self.xfers[t].submitted_us,
-                );
-                self.xfers[t].rec.status = TransferStatus::Committed;
-                self.xfers[t].state = XferState::Done;
-            }
-            InvokeOutcome::Committed {
-                valid: TxValidation::MvccConflict { .. },
-            } => {
-                // The whole transfer failed atomically; re-drive it.
-                self.redrive(t);
-                let tag = self.mint_tag(TagKind::Local { t });
-                let x = &self.xfers[t];
-                let args = vec![
-                    x.rec.src.as_bytes().to_vec(),
-                    x.rec.dst.as_bytes().to_vec(),
-                    x.rec.amount.to_be_bytes().to_vec(),
-                ];
-                let leg_ctx = x.ctx.with_parent(x.ctx.span_id(stage::LOCAL));
-                let shard = x.rec.src_shard;
-                self.clusters[shard].schedule_call(
-                    self.now,
-                    TRANSFER_CC,
-                    "transfer",
-                    args,
-                    tag,
-                    Some(leg_ctx),
-                );
-            }
-            InvokeOutcome::EndorseFailed(reason)
-            | InvokeOutcome::Committed {
-                valid: TxValidation::EndorsementFailure { reason },
-            } => {
-                self.abort_local(t, reason);
-            }
-        }
-    }
-
-    fn abort_local(&mut self, t: usize, reason: String) {
-        if let Some(m) = &self.metrics {
-            if reason.contains("insufficient") {
-                m.aborts_insufficient.inc();
-            } else {
-                m.aborts_vote.inc();
-            }
-        }
-        self.xfers[t].rec.status = TransferStatus::Aborted { reason };
-        self.xfers[t].state = XferState::Done;
-    }
-
-    fn on_begin(&mut self, t: usize, outcome: InvokeOutcome) {
-        match outcome {
-            InvokeOutcome::Committed {
-                valid: TxValidation::Valid,
-            } => {
-                self.record_phase_span(t, "2pc.begin", stage::BEGIN, 0, self.xfers[t].submitted_us);
-                self.xfers[t].state = XferState::Preparing {
-                    votes: [None, None],
-                };
-                self.xfers[t].prepare_started_us = self.now.as_micros();
-                self.send_prepare(t, 0);
-                self.send_prepare(t, 1);
-            }
-            other => {
-                // Request ids are unique, so begin can only fail on a bug;
-                // record it and abort the transfer without any leg ever
-                // having run.
-                self.errors
-                    .push(format!("begin({}) failed: {other:?}", self.xfers[t].rec.id));
-                self.xfers[t].rec.status = TransferStatus::Aborted {
-                    reason: "begin failed".into(),
-                };
-                self.xfers[t].state = XferState::Done;
-            }
-        }
-    }
-
-    fn send_prepare(&mut self, t: usize, leg: usize) {
-        let x = &self.xfers[t];
-        let (shard, function, acct) = if leg == 0 {
-            (x.rec.src_shard, "prepare_debit", x.rec.src.clone())
-        } else {
-            (x.rec.dst_shard, "prepare_credit", x.rec.dst.clone())
-        };
-        let args = vec![
-            x.rec.id.as_bytes().to_vec(),
-            acct.into_bytes(),
-            x.rec.amount.to_be_bytes().to_vec(),
-        ];
-        let leg_ctx = x.ctx.with_parent(x.ctx.span_id(stage::PREPARE));
-        let tag = self.mint_tag(TagKind::Prepare { t, leg });
-        self.clusters[shard].schedule_call(
-            self.now,
-            TRANSFER_CC,
-            function,
-            args,
-            tag,
-            Some(leg_ctx),
-        );
-    }
-
-    fn on_prepare(&mut self, t: usize, leg: usize, outcome: InvokeOutcome) {
-        let vote = match outcome {
-            InvokeOutcome::Committed {
-                valid: TxValidation::Valid,
-            } => Some(true),
-            InvokeOutcome::Committed {
-                valid: TxValidation::MvccConflict { .. },
-            } => {
-                // Neither vote: the prepare never applied. Re-drive it.
-                self.redrive(t);
-                self.send_prepare(t, leg);
-                return;
-            }
-            InvokeOutcome::EndorseFailed(reason)
-            | InvokeOutcome::Committed {
-                valid: TxValidation::EndorsementFailure { reason },
-            } => {
-                if self.xfers[t].no_reason.is_none() {
-                    self.xfers[t].no_reason = Some(reason);
-                }
-                Some(false)
-            }
-        };
-        let XferState::Preparing { mut votes } = self.xfers[t].state.clone() else {
-            self.errors.push(format!(
-                "prepare outcome in state {:?}",
-                self.xfers[t].state
-            ));
-            return;
-        };
-        votes[leg] = vote;
-        if let (Some(a), Some(b)) = (votes[0], votes[1]) {
-            let commit = a && b;
-            self.record_phase_span(
-                t,
-                "2pc.prepare",
-                stage::PREPARE,
-                stage::BEGIN,
-                self.xfers[t].prepare_started_us,
-            );
-            if let Some(m) = &self.metrics {
-                m.phase_prepare_us.observe(
-                    self.now
-                        .as_micros()
-                        .saturating_sub(self.xfers[t].prepare_started_us),
-                );
-            }
-            self.xfers[t].state = XferState::WaitDecide { commit };
-            self.xfers[t].decide_started_us = self.now.as_micros();
-            self.send_decide(t, commit);
-        } else {
-            self.xfers[t].state = XferState::Preparing { votes };
-        }
-    }
-
-    fn send_decide(&mut self, t: usize, commit: bool) {
-        let x = &self.xfers[t];
-        let args = vec![
-            x.rec.id.as_bytes().to_vec(),
-            vec![if commit { 1 } else { 0 }],
-        ];
-        let leg_ctx = x.ctx.with_parent(x.ctx.span_id(stage::DECIDE));
-        let shard = x.rec.src_shard;
-        let tag = self.mint_tag(TagKind::Decide { t });
-        self.clusters[shard].schedule_call(
-            self.now,
-            COORDINATOR_CC,
-            "decide",
-            args,
-            tag,
-            Some(leg_ctx),
-        );
-    }
-
-    fn on_decide(&mut self, t: usize, outcome: InvokeOutcome) {
-        let XferState::WaitDecide { commit } = self.xfers[t].state else {
-            self.errors
-                .push(format!("decide outcome in state {:?}", self.xfers[t].state));
-            return;
-        };
-        match outcome {
-            InvokeOutcome::Committed {
-                valid: TxValidation::Valid,
-            } => {
-                // The decision is now in the source shard's Raft log —
-                // replicated before any acknowledgement or finalize leg.
-                self.record_phase_span(
-                    t,
-                    "2pc.decide",
-                    stage::DECIDE,
-                    stage::PREPARE,
-                    self.xfers[t].decide_started_us,
-                );
-                if let Some(m) = &self.metrics {
-                    m.phase_decide_us.observe(
-                        self.now
-                            .as_micros()
-                            .saturating_sub(self.xfers[t].decide_started_us),
-                    );
-                }
-                self.start_finalize(t, commit);
-            }
-            InvokeOutcome::Committed {
-                valid: TxValidation::MvccConflict { .. },
-            } => {
-                self.redrive(t);
-                self.send_decide(t, commit);
-            }
-            InvokeOutcome::EndorseFailed(reason) => {
-                if reason.contains("already decided") {
-                    // A re-driven decide raced its predecessor; the
-                    // decision is on chain. Proceed from the record.
-                    self.start_finalize(t, commit);
-                } else {
-                    self.errors
-                        .push(format!("decide({}) failed: {reason}", self.xfers[t].rec.id));
-                    self.start_finalize(t, commit);
-                }
-            }
-            InvokeOutcome::Committed {
-                valid: TxValidation::EndorsementFailure { reason },
-            } => {
-                self.errors.push(format!(
-                    "decide({}) invalid: {reason}",
-                    self.xfers[t].rec.id
-                ));
-                self.start_finalize(t, commit);
-            }
-        }
-    }
-
-    fn start_finalize(&mut self, t: usize, commit: bool) {
-        self.xfers[t].state = XferState::Finalizing {
-            commit,
-            remaining: vec![0, 1],
-        };
-        self.xfers[t].finalize_started_us = self.now.as_micros();
-        self.send_finalize(t, 0, commit);
-        self.send_finalize(t, 1, commit);
-    }
-
-    fn send_finalize(&mut self, t: usize, leg: usize, commit: bool) {
-        let x = &self.xfers[t];
-        let shard = if leg == 0 {
-            x.rec.src_shard
-        } else {
-            x.rec.dst_shard
-        };
-        let function = if commit { "commit" } else { "abort" };
-        let args = vec![x.rec.id.as_bytes().to_vec()];
-        let leg_ctx = x.ctx.with_parent(x.ctx.span_id(stage::FINALIZE));
-        let tag = self.mint_tag(TagKind::Finalize { t, leg });
-        self.clusters[shard].schedule_call(
-            self.now,
-            TRANSFER_CC,
-            function,
-            args,
-            tag,
-            Some(leg_ctx),
-        );
-    }
-
-    fn on_finalize(&mut self, t: usize, leg: usize, outcome: InvokeOutcome) {
-        let XferState::Finalizing { commit, remaining } = self.xfers[t].state.clone() else {
-            self.errors.push(format!(
-                "finalize outcome in state {:?}",
-                self.xfers[t].state
-            ));
-            return;
-        };
-        match outcome {
-            InvokeOutcome::Committed {
-                valid: TxValidation::Valid,
-            } => {
-                let remaining: Vec<usize> = remaining.into_iter().filter(|&l| l != leg).collect();
-                if remaining.is_empty() {
-                    self.record_phase_span(
-                        t,
-                        "2pc.finalize",
-                        stage::FINALIZE,
-                        stage::DECIDE,
-                        self.xfers[t].finalize_started_us,
-                    );
-                    if let Some(m) = &self.metrics {
-                        m.phase_finalize_us.observe(
-                            self.now
-                                .as_micros()
-                                .saturating_sub(self.xfers[t].finalize_started_us),
-                        );
-                        if !commit {
-                            if self.xfers[t]
-                                .no_reason
-                                .as_deref()
-                                .map(|r| r.contains("insufficient"))
-                                .unwrap_or(false)
-                            {
-                                m.aborts_insufficient.inc();
-                            } else {
-                                m.aborts_vote.inc();
-                            }
-                        }
-                    }
-                    self.xfers[t].rec.status = if commit {
-                        TransferStatus::Committed
-                    } else {
-                        TransferStatus::Aborted {
-                            reason: self.xfers[t]
-                                .no_reason
-                                .clone()
-                                .unwrap_or_else(|| "prepare voted no".into()),
-                        }
-                    };
-                    self.xfers[t].state = XferState::Done;
-                } else {
-                    self.xfers[t].state = XferState::Finalizing { commit, remaining };
-                }
-            }
-            InvokeOutcome::Committed {
-                valid: TxValidation::MvccConflict { .. },
-            } => {
-                // Coordinator recovery: the finalize leg was invalidated
-                // by a concurrent balance write. Re-read the *replicated*
-                // decision record and re-drive the leg from it — never
-                // from orchestrator memory alone.
-                self.redrive(t);
-                let coord_shard = self.xfers[t].rec.src_shard;
-                let recorded = read_coord_state(
-                    self.clusters[coord_shard].canonical_state(),
-                    &self.xfers[t].rec.id,
-                );
-                let commit_again = match recorded {
-                    Some(CoordState::Committed) => true,
-                    Some(CoordState::Aborted) => false,
-                    other => {
-                        self.errors.push(format!(
-                            "finalize redrive of {} found coordinator state {other:?}",
-                            self.xfers[t].rec.id
-                        ));
-                        commit
-                    }
-                };
-                self.send_finalize(t, leg, commit_again);
-            }
-            InvokeOutcome::EndorseFailed(reason)
-            | InvokeOutcome::Committed {
-                valid: TxValidation::EndorsementFailure { reason },
-            } => {
-                self.errors.push(format!(
-                    "finalize({}, leg {leg}) failed: {reason}",
-                    self.xfers[t].rec.id
-                ));
-                let remaining: Vec<usize> = remaining.into_iter().filter(|&l| l != leg).collect();
-                self.xfers[t].state = if remaining.is_empty() {
-                    self.xfers[t].rec.status = TransferStatus::Aborted {
-                        reason: "finalize failed".into(),
-                    };
-                    XferState::Done
-                } else {
-                    XferState::Finalizing { commit, remaining }
-                };
-            }
         }
     }
 
@@ -1309,13 +836,7 @@ impl ShardedDeployment {
             | InvokeOutcome::Committed {
                 valid: TxValidation::EndorsementFailure { reason },
             } => {
-                if let Some(m) = &self.metrics {
-                    if reason.contains("insufficient") {
-                        m.aborts_insufficient.inc();
-                    } else {
-                        m.aborts_vote.inc();
-                    }
-                }
+                self.count_abort(Some(&reason));
                 self.op_terminal(o, TransferStatus::Aborted { reason });
             }
         }
@@ -1558,27 +1079,14 @@ impl ShardedDeployment {
                                 .as_micros()
                                 .saturating_sub(self.ops[o].finalize_started_us),
                         );
-                        if !commit {
-                            if self.ops[o]
-                                .no_reason
-                                .as_deref()
-                                .map(|r| r.contains("insufficient"))
-                                .unwrap_or(false)
-                            {
-                                m.aborts_insufficient.inc();
-                            } else {
-                                m.aborts_vote.inc();
-                            }
-                        }
                     }
                     let status = if commit {
                         TransferStatus::Committed
                     } else {
+                        let reason = self.ops[o].no_reason.clone();
+                        self.count_abort(reason.as_deref());
                         TransferStatus::Aborted {
-                            reason: self.ops[o]
-                                .no_reason
-                                .clone()
-                                .unwrap_or_else(|| "prepare voted no".into()),
+                            reason: reason.unwrap_or_else(|| "prepare voted no".into()),
                         }
                     };
                     self.op_terminal(o, status);
@@ -1589,8 +1097,10 @@ impl ShardedDeployment {
             InvokeOutcome::Committed {
                 valid: TxValidation::MvccConflict { .. },
             } => {
-                // Coordinator recovery, same as transfers: re-read the
-                // replicated decision and re-drive the leg from it.
+                // Coordinator recovery: the finalize leg was invalidated
+                // by a concurrent write. Re-read the *replicated*
+                // decision record and re-drive the leg from it — never
+                // from orchestrator memory alone.
                 self.redrive_op(o);
                 let coord_shard = self.ops[o].coordinator_shard;
                 let recorded = read_coord_state(
@@ -1641,11 +1151,15 @@ impl ShardedDeployment {
         }
     }
 
-    fn redrive(&mut self, t: usize) {
-        self.xfers[t].rec.redrives += 1;
-        self.redrives += 1;
+    /// Count an abort by its reason: insufficient funds, or any other
+    /// NO vote (`None` when no participant gave a reason).
+    fn count_abort(&self, reason: Option<&str>) {
         if let Some(m) = &self.metrics {
-            m.redrives.inc();
+            if reason.is_some_and(|r| r.contains("insufficient")) {
+                m.aborts_insufficient.inc();
+            } else {
+                m.aborts_vote.inc();
+            }
         }
     }
 
@@ -1654,19 +1168,14 @@ impl ShardedDeployment {
         &self.errors
     }
 
-    /// One debug line per non-terminal transfer: id and internal phase.
-    /// For diagnosing stuck runs; the format is not stable.
+    /// One debug line per non-terminal op (transfers included): id and
+    /// internal phase. For diagnosing stuck runs; the format is not
+    /// stable.
     pub fn debug_inflight(&self) -> Vec<String> {
-        self.xfers
+        self.ops
             .iter()
-            .filter(|x| x.rec.status == TransferStatus::InFlight)
-            .map(|x| format!("{} {:?} state={:?}", x.rec.id, x.rec, x.state))
-            .chain(
-                self.ops
-                    .iter()
-                    .filter(|o| o.rec.status == TransferStatus::InFlight)
-                    .map(|o| format!("{} {:?} state={:?}", o.rec.id, o.rec, o.state)),
-            )
+            .filter(|o| o.rec.status == TransferStatus::InFlight)
+            .map(|o| format!("{} {:?} state={:?}", o.rec.id, o.rec, o.state))
             .collect()
     }
 
@@ -1679,11 +1188,20 @@ impl ShardedDeployment {
     /// The end-of-run summary.
     pub fn report(&self) -> ShardReport {
         let shards: Vec<ClusterReport> = self.clusters.iter().map(|c| c.report()).collect();
+        let transfers: Vec<TransferRecord> = self
+            .transfers
+            .iter()
+            .map(|(o, rec)| TransferRecord {
+                status: self.ops[*o].rec.status.clone(),
+                redrives: self.ops[*o].rec.redrives,
+                ..rec.clone()
+            })
+            .collect();
         let mut committed = 0;
         let mut aborted = 0;
         let mut shed = 0;
-        for x in &self.xfers {
-            match x.rec.status {
+        for t in &transfers {
+            match t.status {
                 TransferStatus::Committed => committed += 1,
                 TransferStatus::Aborted { .. } => aborted += 1,
                 TransferStatus::Shed => shed += 1,
@@ -1692,7 +1210,7 @@ impl ShardedDeployment {
         }
         ShardReport {
             total_txs: shards.iter().map(|r| r.txs).sum(),
-            transfers: self.xfers.iter().map(|x| x.rec.clone()).collect(),
+            transfers,
             state_roots: self.state_roots(),
             opened_total: self.opened_total,
             committed,

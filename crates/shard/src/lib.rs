@@ -13,21 +13,23 @@
 //! * `ledgerview_crosschain::contracts` — the 2PC coordinator and
 //!   transfer participant chaincodes with idempotent terminal states.
 //! * [`deployment`] — this crate's core: the [`ShardedDeployment`]
-//!   advances every shard to common virtual-time boundaries and drives
-//!   cross-shard transfers through begin → prepare → replicated decide →
-//!   finalize, re-driving in-doubt legs from the on-chain decision
-//!   record after failover.
+//!   advances every shard to common virtual-time boundaries and runs one
+//!   op engine. Every operation is an [`OpSpec`] (a direct transaction
+//!   plus keyed participant legs); a transfer is one such spec, and
+//!   scenario crates bring their own. Cross-shard ops go through
+//!   begin → prepare → replicated decide → finalize, re-driving in-doubt
+//!   legs from the on-chain decision record after failover.
 //!
-//! Single-shard transfers never pay the 2PC cost: the router detects
-//! that both accounts live on one channel and submits one atomic
-//! `transfer` transaction. That asymmetry is the whole point of the
-//! deployment — the `shard_scaleout` bench measures how aggregate
-//! throughput scales with the shard count as the cross-shard fraction
-//! grows.
+//! Single-shard ops never pay the 2PC cost: the router detects that
+//! every leg lives on one channel and submits the op's one atomic direct
+//! transaction (for a transfer, `transfer`). That asymmetry is the whole
+//! point of the deployment — the `shard_scaleout` bench measures how
+//! aggregate throughput scales with the shard count as the cross-shard
+//! fraction grows.
 //!
 //! Everything is deterministic: same [`ShardConfig`] (including seed) ⇒
-//! bit-identical per-shard Raft logs, state roots, and transfer
-//! outcomes, regardless of telemetry and across fault schedules.
+//! bit-identical per-shard Raft logs, state roots, and op outcomes,
+//! regardless of telemetry and across fault schedules.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

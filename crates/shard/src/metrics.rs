@@ -9,26 +9,27 @@ use ledgerview_telemetry::{Counter, Gauge, HistogramHandle, Telemetry};
 pub(crate) struct ShardMetrics {
     pub telemetry: Telemetry,
     /// Committed transactions per shard (tagged invocations only — the
-    /// deployment's own opens, transfers, and 2PC legs).
+    /// deployment's own opens, direct op transactions, and 2PC legs).
     txs: Vec<Counter>,
     /// Endorsed-but-uncut queue depth per shard, sampled at every
     /// lock-step slice boundary.
     queue_depth: Vec<Gauge>,
-    /// Cross-shard transfers started, by eventual path.
+    /// Admitted ops (transfers included), by path: one direct
+    /// transaction (`single`) or cross-shard 2PC (`cross`).
     pub transfers_single: Counter,
     pub transfers_cross: Counter,
     /// 2PC phase latencies in virtual µs.
     pub phase_prepare_us: HistogramHandle,
     pub phase_decide_us: HistogramHandle,
     pub phase_finalize_us: HistogramHandle,
-    /// Aborted transfers, by reason.
+    /// Aborted or shed ops (transfers included), by reason.
     pub aborts_vote: Counter,
     pub aborts_insufficient: Counter,
     pub aborts_admission: Counter,
     /// 2PC legs re-driven from the replicated decision record after an
     /// MVCC invalidation or failover.
     pub redrives: Counter,
-    /// Perfetto lane for the cross-shard transfer coordinator.
+    /// Perfetto lane for the cross-shard op coordinator.
     pub coordinator_proc: u64,
 }
 

@@ -3,8 +3,9 @@
 //! bit-for-bit deterministic — including under leader kills.
 
 use fabric_store::testdir::TestDir;
+use ledgerview_crosschain::contracts::TRANSFER_CC;
 use ledgerview_crosschain::read_balance;
-use ledgerview_shard::{ShardConfig, ShardedDeployment, TransferStatus};
+use ledgerview_shard::{OpLeg, OpSpec, ShardConfig, ShardedDeployment, TransferStatus};
 use ledgerview_simnet::SimTime;
 
 const SECOND: SimTime = SimTime::from_secs(1);
@@ -142,4 +143,91 @@ fn same_seed_is_bit_identical() {
 
     let (roots_c, _) = run(dir_c.path(), 8);
     assert_ne!(roots_a, roots_c, "different seed must differ");
+}
+
+/// A hand-built transfer-shaped [`OpSpec`] over the transfer contract's
+/// participant functions.
+fn transfer_spec(id: &str, src: &str, dst: &str, amount: u64) -> OpSpec {
+    let amount = amount.to_be_bytes().to_vec();
+    let leg = |acct: &str, prepare: &str| OpLeg {
+        key: format!("acct~{acct}"),
+        chaincode: TRANSFER_CC.into(),
+        prepare: prepare.into(),
+        args: vec![acct.as_bytes().to_vec(), amount.clone()],
+    };
+    OpSpec {
+        id: id.into(),
+        direct: (
+            TRANSFER_CC.into(),
+            "transfer".into(),
+            vec![src.into(), dst.into(), amount.clone()],
+        ),
+        legs: vec![leg(src, "prepare_debit"), leg(dst, "prepare_credit")],
+    }
+}
+
+/// Transfers and generic ops interleave through one engine under a
+/// leader kill: transfer indices still address `report().transfers`,
+/// the report's counts cover transfers only, and `op_records()` holds
+/// only the ops.
+#[test]
+fn transfers_and_ops_interleave() {
+    let dir = TestDir::new("shard-2pc-mixed");
+    let mut dep = ShardedDeployment::new(two_shard_config(dir.path(), 41)).unwrap();
+
+    dep.schedule_open(SimTime::from_millis(100), "alice", 1_000);
+    dep.schedule_open(SimTime::from_millis(100), "bob", 1_000);
+    dep.schedule_open(SimTime::from_millis(100), "carol", 1_000);
+
+    let at = |i: u64| SECOND + SimTime::from_millis(150 * i);
+    let t0 = dep.schedule_transfer(at(0), "alice", "bob", 100);
+    let o0 = dep.schedule_op(at(1), transfer_spec("op0", "bob", "alice", 50));
+    let t1 = dep.schedule_transfer(at(2), "bob", "carol", 30);
+    let o1 = dep.schedule_op(at(3), transfer_spec("op1", "carol", "alice", 1_000_000));
+    let t2 = dep.schedule_transfer(at(4), "carol", "alice", 20);
+    dep.schedule_leader_kill(1, at(2));
+
+    dep.run_until_converged(SimTime::from_secs(120)).unwrap();
+    dep.verify().unwrap();
+
+    let report = dep.report();
+    assert_eq!((t0, t1, t2), (0, 1, 2));
+    assert_eq!((o0, o1), (0, 1));
+    assert_eq!(report.transfers.len(), 3);
+    for (t, (id, src, dst)) in [
+        (t0, ("t0", "alice", "bob")),
+        (t1, ("t1", "bob", "carol")),
+        (t2, ("t2", "carol", "alice")),
+    ] {
+        let rec = &report.transfers[t];
+        assert_eq!(
+            (rec.id.as_str(), rec.src.as_str(), rec.dst.as_str()),
+            (id, src, dst)
+        );
+        assert_eq!(rec.status, TransferStatus::Committed, "transfer {id}");
+    }
+    assert_eq!(report.transfers[t0].src_shard, 0);
+    assert_eq!(report.transfers[t0].dst_shard, 1);
+    // The op's NO vote is not a transfer abort.
+    assert_eq!(report.committed, 3);
+    assert_eq!(report.aborted, 0);
+    assert_eq!(report.shed, 0);
+
+    let ops = dep.op_records();
+    assert_eq!(ops.len(), 2);
+    assert_eq!(ops[o0].id, "op0");
+    assert_eq!(ops[o0].status, TransferStatus::Committed);
+    assert!(ops[o0].cross);
+    assert_eq!(ops[o1].id, "op1");
+    assert!(ops[o1].cross);
+    match &dep.op(o1).status {
+        TransferStatus::Aborted { reason } => {
+            assert!(reason.contains("insufficient"), "reason: {reason}")
+        }
+        other => panic!("expected insufficient-funds abort, got {other:?}"),
+    }
+
+    assert_eq!(dep_state_balance(&dep, 0, "alice"), Some(970));
+    assert_eq!(dep_state_balance(&dep, 1, "bob"), Some(1_020));
+    assert_eq!(dep_state_balance(&dep, 1, "carol"), Some(1_010));
 }
