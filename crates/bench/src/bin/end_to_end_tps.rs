@@ -10,19 +10,20 @@
 //! The benchmark groups the span buffer by trace id to compute:
 //!
 //! * headline tps — committed transactions over the virtual span from the
-//!   first submission to the last per-peer commit;
+//!   first submission to the last per-peer commit, with goodput (valid
+//!   commits over the same span) beside it;
 //! * per-phase p50/p99 (queue, replicate, peer commit) whose *means* sum
 //!   exactly to the end-to-end mean, because the three phases tile the
 //!   journey with no gaps (asserted to within 10%);
 //! * a folded-stack profile (`flamegraph.pl`-ready) of the whole run.
 //!
 //! The sweep covers both peer state backends (in-memory durable and
-//! disk-backed LSM) with conflict-aware reordering on and off. All
-//! timings are virtual microseconds, so every number here — including
-//! headline tps — is bit-reproducible from the seed, which is what lets
-//! CI keep a committed baseline and fail on >20% regressions.
+//! disk-backed LSM). All timings are virtual microseconds, so every
+//! number here — including headline tps — is bit-reproducible from the
+//! seed, which is what lets CI keep a committed baseline and fail on
+//! >20% regressions.
 //!
-//! Writes `bench_results/end_to_end_tps.json` (schema `end_to_end/v1`),
+//! Writes `bench_results/end_to_end_tps.json` (schema `end_to_end/v2`),
 //! the folded profile next to it, and a Chrome-trace export of the
 //! headline run. `--smoke` shrinks the load for CI; `--metrics-out`
 //! additionally snapshots the Prometheus registry.
@@ -42,29 +43,16 @@ const SUBMIT_EVERY_MS: u64 = 10;
 struct RunSpec {
     backend: &'static str,
     lsm: bool,
-    reorder: bool,
 }
 
-const SWEEP: [RunSpec; 4] = [
+const SWEEP: [RunSpec; 2] = [
     RunSpec {
         backend: "inmem",
         lsm: false,
-        reorder: false,
-    },
-    RunSpec {
-        backend: "inmem",
-        lsm: false,
-        reorder: true,
     },
     RunSpec {
         backend: "lsm",
         lsm: true,
-        reorder: false,
-    },
-    RunSpec {
-        backend: "lsm",
-        lsm: true,
-        reorder: true,
     },
 ];
 
@@ -90,8 +78,12 @@ fn stats(mut xs: Vec<u64>) -> Stats {
 struct RunResult {
     spec: &'static RunSpec,
     txs: u64,
+    /// Transactions among `txs` that passed MVCC validation.
+    valid_txs: u64,
     blocks: u64,
     tps: f64,
+    /// Valid commits over the same window as `tps`.
+    goodput_tps: f64,
     queue: Stats,
     replicate: Stats,
     commit: Stats,
@@ -135,8 +127,6 @@ fn run(spec: &'static RunSpec, txs: u64, telemetry: &Telemetry) -> RunResult {
     let dir = TestDir::new("end-to-end-tps");
     let mut cfg = ClusterConfig::new(dir.path(), SEED);
     cfg.lsm_peers = spec.lsm;
-    cfg.reorder.enabled = spec.reorder;
-    cfg.reorder.early_abort = spec.reorder;
     cfg.check_signatures = false; // Endorsement crypto is not under test.
     let mut sim = ClusterSim::new(cfg).expect("cluster builds");
     sim.set_telemetry(telemetry);
@@ -161,8 +151,9 @@ fn run(spec: &'static RunSpec, txs: u64, telemetry: &Telemetry) -> RunResult {
         .flat_map(|j| j.commits.iter().map(|&(_, _, end)| end))
         .max()
         .unwrap();
-    let window_us = last_commit - first_submit;
-    let tps = report.txs as f64 / (window_us as f64 / 1e6);
+    let window_s = (last_commit - first_submit) as f64 / 1e6;
+    let tps = report.txs as f64 / window_s;
+    let goodput_tps = report.valid_txs as f64 / window_s;
 
     let queue = stats(journeys.values().map(|j| j.queue_us).collect());
     let replicate = stats(journeys.values().map(|j| j.replicate_us).collect());
@@ -197,8 +188,10 @@ fn run(spec: &'static RunSpec, txs: u64, telemetry: &Telemetry) -> RunResult {
     RunResult {
         spec,
         txs: report.txs,
+        valid_txs: report.valid_txs,
         blocks: report.blocks,
         tps,
+        goodput_tps,
         queue,
         replicate,
         commit,
@@ -251,17 +244,18 @@ fn run_json(r: &RunResult) -> String {
     };
     format!(
         concat!(
-            "    {{\"backend\": \"{}\", \"reorder\": {}, \"txs\": {}, \"blocks\": {}, ",
-            "\"tps\": {:.2},\n",
+            "    {{\"backend\": \"{}\", \"txs\": {}, \"valid_txs\": {}, \"blocks\": {}, ",
+            "\"tps\": {:.2}, \"goodput_tps\": {:.2},\n",
             "     \"e2e_us\": {{\"mean_us\": {:.1}, \"p50_us\": {}, \"p99_us\": {}}},\n",
             "     \"phases\": [{}, {}, {}],\n",
             "     \"phase_sum_error\": {:.4}}}"
         ),
         r.spec.backend,
-        r.spec.reorder,
         r.txs,
+        r.valid_txs,
         r.blocks,
         r.tps,
+        r.goodput_tps,
         r.e2e.mean_us,
         r.e2e.p50_us,
         r.e2e.p99_us,
@@ -281,10 +275,10 @@ fn main() {
         if smoke { ", smoke" } else { "" }
     );
     println!(
-        "{:>7} {:>8}  {:>9} {:>7}  {:>10} {:>10} {:>10}  {:>10} {:>10}",
+        "{:>7}  {:>9} {:>9} {:>7}  {:>10} {:>10} {:>10}  {:>10} {:>10}",
         "backend",
-        "reorder",
         "tps",
+        "goodput",
         "blocks",
         "queue_p50",
         "repl_p50",
@@ -299,10 +293,10 @@ fn main() {
         let telemetry = Telemetry::wall_clock();
         let r = run(spec, txs, &telemetry);
         println!(
-            "{:>7} {:>8}  {:>9.1} {:>7}  {:>10} {:>10} {:>10}  {:>10} {:>10}",
+            "{:>7}  {:>9.1} {:>9.1} {:>7}  {:>10} {:>10} {:>10}  {:>10} {:>10}",
             r.spec.backend,
-            r.spec.reorder,
             r.tps,
+            r.goodput_tps,
             r.blocks,
             r.queue.p50_us,
             r.replicate.p50_us,
@@ -351,13 +345,13 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"end_to_end/v1\",\n",
+            "  \"schema\": \"end_to_end/v2\",\n",
             "  \"benchmark\": \"end_to_end_tps\",\n",
             "  \"mode\": \"{}\",\n",
             "  \"description\": \"full-pipeline throughput: gateway submission, 3 Raft ",
             "orderers, leader dissemination, {} durable peers; phases from the ",
             "cross-node causal trace, virtual time\",\n",
-            "  \"headline\": {{\"backend\": \"{}\", \"reorder\": {}, \"tps\": {:.2}}},\n",
+            "  \"headline\": {{\"backend\": \"{}\", \"tps\": {:.2}}},\n",
             "  \"runs\": [\n{}\n  ],\n",
             "  \"folded_profile\": [\n{}\n  ]\n",
             "}}\n"
@@ -365,7 +359,6 @@ fn main() {
         if smoke { "smoke" } else { "full" },
         PEERS,
         headline.spec.backend,
-        headline.spec.reorder,
         headline.tps,
         runs.join(",\n"),
         folded_lines.join(",\n"),
@@ -373,10 +366,9 @@ fn main() {
     let path = dir.join("end_to_end_tps.json");
     std::fs::write(&path, &json).expect("write json");
     println!(
-        "headline: {:.1} tps ({} backend, reorder {})\nwrote {}\nwrote {}\nwrote {}",
+        "headline: {:.1} tps ({} backend)\nwrote {}\nwrote {}\nwrote {}",
         headline.tps,
         headline.spec.backend,
-        headline.spec.reorder,
         path.display(),
         folded_path.display(),
         trace_path.display(),

@@ -22,10 +22,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use fabric_sim::chaincode::RwSet;
 use fabric_sim::endorsement::EndorsementPolicy;
 use fabric_sim::identity::Identity;
-use fabric_sim::ledger::{Transaction, TxId};
+use fabric_sim::ledger::TxId;
 use fabric_sim::raft::{NodeId, Outgoing, RaftMsg, RaftNode};
 use fabric_sim::statedb::VersionedState;
 use fabric_sim::storage::ChainSnapshot;
@@ -33,7 +32,7 @@ use fabric_sim::validation::TxValidation;
 use fabric_sim::{FabricChain, StorageConfig};
 use ledgerview_crypto::rng::seeded;
 use ledgerview_crypto::sha256::Digest;
-use ledgerview_gateway::{reorder, CounterChaincode};
+use ledgerview_gateway::CounterChaincode;
 use ledgerview_simnet::{Region, SimTime, Simulation};
 use ledgerview_telemetry::{Telemetry, TraceContext};
 use rand::rngs::StdRng;
@@ -60,9 +59,6 @@ pub mod stage {
     pub const REPLICATE: u64 = 3;
     /// Per-peer validate+commit; add the peer index.
     pub const PEER_COMMIT_BASE: u64 = 0x100;
-    /// A re-endorsement hop (early-abort/deferral); add the 1-based
-    /// requeue ordinal so repeated pulls of one trace stay distinct.
-    pub const REQUEUE_BASE: u64 = 0x1_0000;
 }
 
 type Sim = Simulation<World>;
@@ -107,20 +103,17 @@ struct Inflight {
     encoded: Vec<u8>,
 }
 
-/// Causal-trace state for one in-flight transaction, keyed by its
-/// *current* tx id — a re-endorsed transaction gets a fresh id and the
-/// entry moves with it, so the trace id survives early-aborts, deferrals
-/// and watchdog resubmits.
+/// Causal-trace state for one endorsed transaction, keyed by its tx id
+/// until the cutter batches it. Watchdog resubmits re-propose the same
+/// encoded batch, so the trace rides along unchanged.
 struct TxTrace {
     /// Root context (`parent_span == 0`), derived from the submission
     /// sequence number — always computed, even with telemetry detached,
     /// so batch wire bytes never depend on observation.
     ctx: TraceContext,
-    /// Virtual time of the original submission (requeues don't reset it:
-    /// queue time is measured from first submission to final cut).
+    /// Virtual time of the submission: queue time is measured from here
+    /// to the cut.
     submitted_us: u64,
-    /// Times this trace has been pulled and re-endorsed.
-    requeues: u64,
 }
 
 /// The fate of a tagged invocation scheduled via
@@ -165,8 +158,11 @@ pub struct CatchupRecord {
 pub struct ClusterReport {
     /// Globally committed block count.
     pub blocks: u64,
-    /// Transactions committed across all blocks.
+    /// Transactions committed across all blocks, valid or not.
     pub txs: u64,
+    /// Transactions among `txs` that passed commit-time validation and
+    /// applied their writes (goodput's numerator).
+    pub valid_txs: u64,
     /// Canonical rolling state root after each block.
     pub canonical_roots: Vec<Digest>,
     /// Batch id of each committed block, in commit order.
@@ -192,15 +188,6 @@ pub struct ClusterReport {
     pub failed_batches: u64,
     /// Endorsement-time submission errors.
     pub submit_errors: u64,
-    /// Doomed transactions pulled from a batch by the conflict-aware
-    /// cutter and re-endorsed (zero with reordering off).
-    pub reorder_early_aborts: u64,
-    /// Dependency-cycle victims deferred to a later batch.
-    pub reorder_deferrals: u64,
-    /// Transaction pairs batched in inverted (non-endorsement) order.
-    pub reorder_pairs: u64,
-    /// Intra-batch dependency cycles broken by the cutter.
-    pub reorder_cycles: u64,
     /// Completed catch-ups.
     pub catchups: Vec<CatchupRecord>,
 }
@@ -221,6 +208,7 @@ struct World {
     seen_batches: BTreeSet<u64>,
     blocks: Vec<CommittedBlock>,
     canonical_roots: Vec<Digest>,
+    valid_txs: u64,
 
     // Client submission pipeline.
     next_batch_id: u64,
@@ -249,10 +237,6 @@ struct World {
     dup_batches: u64,
     failed_batches: u64,
     submit_errors: u64,
-    reorder_early_aborts: u64,
-    reorder_deferrals: u64,
-    reorder_pairs: u64,
-    reorder_cycles: u64,
     catchups: Vec<CatchupRecord>,
     /// Peers whose snapshot bootstrap found no live donor.
     bootstrap_failures: Vec<usize>,
@@ -445,6 +429,9 @@ impl World {
                 .endorser
                 .commit_ordered(batch.transactions.clone(), batch.timestamp_us);
             for (tx, valid) in batch.transactions.iter().zip(&validations) {
+                if valid.is_valid() {
+                    self.valid_txs += 1;
+                }
                 if let Some(tag) = self.tx_tags.remove(&tx.tx_id) {
                     self.outcomes.push((
                         tag,
@@ -650,7 +637,6 @@ impl World {
                     TxTrace {
                         ctx,
                         submitted_us: now_us,
-                        requeues: 0,
                     },
                 );
                 if let Some(t) = tag {
@@ -688,25 +674,15 @@ impl World {
             return;
         }
         let now_us = sim.now().as_micros();
-        let transactions = if self.cfg.reorder.enabled {
-            self.plan_batch(now_us)
-        } else {
-            self.endorser.take_pending()
-        };
-        if transactions.is_empty() {
-            // Every pending transaction was doomed and pulled for
-            // re-endorsement; nothing to replicate this interval.
-            return;
-        }
-        // Close out each kept transaction's queue stage and build the
-        // wire contexts: downstream spans parent under the queue span.
+        let transactions = self.endorser.take_pending();
+        // Close out each transaction's queue stage and build the wire
+        // contexts: downstream spans parent under the queue span.
         let traces: Vec<TraceContext> = transactions
             .iter()
             .map(|tx| {
                 let t = self.tx_traces.remove(&tx.tx_id).unwrap_or_else(|| TxTrace {
                     ctx: TraceContext::root(self.cfg.seed, u64::MAX),
                     submitted_us: now_us,
-                    requeues: 0,
                 });
                 let queue_span = t.ctx.span_id(stage::QUEUE);
                 if let Some(m) = &self.metrics {
@@ -742,106 +718,6 @@ impl World {
         sim.schedule_in(timeout, move |w: &mut World, s| {
             w.on_resubmit_check(batch_id, s);
         });
-    }
-
-    /// Conflict-aware batch planning (see `ledgerview_gateway::reorder`)
-    /// over the endorser's pending queue: early-abort transactions whose
-    /// reads went stale against committed state since their endorsement
-    /// (they fail MVCC on *every* replica under every order), schedule
-    /// the survivors to serialize intra-batch conflicts, and defer cycle
-    /// victims. Pulled transactions are immediately re-endorsed — fresh
-    /// read versions — and ride a later batch.
-    ///
-    /// The plan is computed once, before replication, so every replica
-    /// applies the identical reordered batch: ordering decisions made
-    /// here survive leader failover by construction.
-    fn plan_batch(&mut self, now_us: u64) -> Vec<Transaction> {
-        let n = self.endorser.pending_count();
-        let doomed = if self.cfg.reorder.early_abort {
-            self.endorser.precheck_pending()
-        } else {
-            vec![None; n]
-        };
-        let plan = {
-            let pending = self.endorser.pending();
-            let rwsets: Vec<&RwSet> = pending.iter().map(|tx| &tx.rwset).collect();
-            reorder::plan(&rwsets, &doomed, &self.cfg.reorder, |_| true)
-        };
-        let mut pulled: Vec<Option<Transaction>> =
-            self.endorser.take_pending().into_iter().map(Some).collect();
-        let kept: Vec<Transaction> = plan
-            .order
-            .iter()
-            .map(|&i| pulled[i].take().expect("scheduled exactly once"))
-            .collect();
-        self.reorder_pairs += plan.stats.reordered_pairs;
-        self.reorder_cycles += plan.stats.cycles_broken;
-        for &(i, _) in &plan.early_aborts {
-            self.reorder_early_aborts += 1;
-            if let Some(m) = &self.metrics {
-                m.reorder_early_aborts.inc();
-            }
-            let tx = pulled[i].take().expect("early-aborted exactly once");
-            self.reinvoke(tx, now_us);
-        }
-        for &i in &plan.deferred {
-            self.reorder_deferrals += 1;
-            if let Some(m) = &self.metrics {
-                m.reorder_deferrals.inc();
-            }
-            let tx = pulled[i].take().expect("deferred exactly once");
-            self.reinvoke(tx, now_us);
-        }
-        kept
-    }
-
-    /// Re-endorse a pulled transaction through the normal submission
-    /// path: a fresh proposal (new tx id, current read versions) joins
-    /// the pending queue for the next batch. The trace entry moves from
-    /// the old tx id to the new one — re-endorsement is a hop within the
-    /// same trace, not a new journey.
-    fn reinvoke(&mut self, tx: Transaction, now_us: u64) {
-        let old_id = tx.tx_id;
-        let result = self.endorser.invoke(
-            &self.client,
-            &tx.chaincode,
-            &tx.function,
-            tx.args,
-            &mut self.submit_rng,
-        );
-        match result {
-            Ok(r) => {
-                // The tag follows the trace: re-endorsement is a hop, not
-                // a new invocation, so the outcome reports under the
-                // original tag when the successor finally commits.
-                if let Some(tag) = self.tx_tags.remove(&old_id) {
-                    self.tx_tags.insert(r.tx_id, tag);
-                }
-                if let Some(mut t) = self.tx_traces.remove(&old_id) {
-                    t.requeues += 1;
-                    if let Some(m) = &self.metrics {
-                        m.telemetry.tracer().record_linked(
-                            "order.requeue",
-                            now_us,
-                            now_us,
-                            m.orderer_proc(self.believed_leader),
-                            "cutter",
-                            t.ctx.span_id(stage::REQUEUE_BASE + t.requeues),
-                            t.ctx.with_parent(t.ctx.span_id(stage::SUBMIT)),
-                        );
-                        m.trace_requeues.inc();
-                    }
-                    self.tx_traces.insert(r.tx_id, t);
-                }
-            }
-            Err(e) => {
-                self.submit_errors += 1;
-                if let Some(tag) = self.tx_tags.remove(&old_id) {
-                    self.outcomes
-                        .push((tag, InvokeOutcome::EndorseFailed(e.to_string())));
-                }
-            }
-        }
     }
 
     /// Route a batch proposal toward the believed leader; attempt is the
@@ -1072,6 +948,7 @@ impl World {
                 .iter()
                 .map(|b| b.batch.transactions.len() as u64)
                 .sum(),
+            valid_txs: self.valid_txs,
             canonical_roots: self.canonical_roots.clone(),
             batch_history: self.blocks.iter().map(|b| b.batch.batch_id).collect(),
             peer_heights: self
@@ -1092,10 +969,6 @@ impl World {
             dup_batches: self.dup_batches,
             failed_batches: self.failed_batches,
             submit_errors: self.submit_errors,
-            reorder_early_aborts: self.reorder_early_aborts,
-            reorder_deferrals: self.reorder_deferrals,
-            reorder_pairs: self.reorder_pairs,
-            reorder_cycles: self.reorder_cycles,
             catchups: self.catchups.clone(),
         }
     }
@@ -1164,6 +1037,7 @@ impl ClusterSim {
             seen_batches: BTreeSet::new(),
             blocks: Vec::new(),
             canonical_roots: Vec::new(),
+            valid_txs: 0,
             next_batch_id: 0,
             inflight: BTreeMap::new(),
             believed_leader: 0,
@@ -1182,10 +1056,6 @@ impl ClusterSim {
             dup_batches: 0,
             failed_batches: 0,
             submit_errors: 0,
-            reorder_early_aborts: 0,
-            reorder_deferrals: 0,
-            reorder_pairs: 0,
-            reorder_cycles: 0,
             catchups: Vec::new(),
             bootstrap_failures: Vec::new(),
             pending_actions: 0,
@@ -1226,16 +1096,6 @@ impl ClusterSim {
         self.world.blocks.len() as u64
     }
 
-    /// A peer's applied height (`None` while crashed).
-    pub fn peer_height(&self, p: usize) -> Option<u64> {
-        self.world.peers[p].chain.as_ref().map(|c| c.height())
-    }
-
-    /// A peer's rolling state root (`None` while crashed).
-    pub fn peer_state_root(&self, p: usize) -> Option<Digest> {
-        self.world.peers[p].chain.as_ref().map(|c| c.state_root())
-    }
-
     /// The live orderer currently believed leader by Raft itself: the
     /// highest-term live leader (ties to the lowest id). `None` during
     /// elections.
@@ -1262,8 +1122,7 @@ impl ClusterSim {
     /// Schedule a tagged invocation of any deployed chaincode. The fate
     /// of the transaction — endorse-rejected, or committed with its
     /// validation result — is reported under `tag` via
-    /// [`ClusterSim::take_outcomes`] (tags survive re-endorsement hops
-    /// exactly like trace contexts). A caller-supplied [`TraceContext`]
+    /// [`ClusterSim::take_outcomes`]. A caller-supplied [`TraceContext`]
     /// replaces the minted per-submission root so externally coordinated
     /// protocols (cross-shard 2PC) can parent every leg under one trace.
     pub fn schedule_call(

@@ -45,7 +45,7 @@ use fabric_sim::chaincode::Chaincode;
 use fabric_sim::parallel::ValidationConfig;
 use fabric_sim::raft::RaftConfig;
 use fabric_store::wal::FsyncPolicy;
-use ledgerview_gateway::{ReorderConfig, RetryPolicy};
+use ledgerview_gateway::RetryPolicy;
 use ledgerview_simnet::{LatencyMatrix, Region, SimTime};
 
 pub use batch::OrderedBatch;
@@ -95,11 +95,6 @@ pub struct ClusterConfig {
     /// Backoff policy for re-routing a proposal after `NotLeader` (or a
     /// dead orderer). `max_attempts` bounds one routing round.
     pub retry: RetryPolicy,
-    /// Conflict-aware ordering at the batch cutter (the gateway's
-    /// [`ReorderConfig`]): doomed transactions are re-endorsed instead of
-    /// burning a slot in a replicated block, and intra-batch dependency
-    /// cycles are broken by deferral to the next batch. Off by default.
-    pub reorder: ReorderConfig,
     /// Modeled transfer bandwidth for snapshot shipping and block replay,
     /// in bytes per virtual second.
     pub catchup_bandwidth_bytes_per_sec: u64,
@@ -156,7 +151,6 @@ impl ClusterConfig {
             block_interval: SimTime::from_millis(250),
             resubmit_timeout: SimTime::from_secs(2),
             retry: RetryPolicy::for_leader_routing(),
-            reorder: ReorderConfig::default(),
             catchup_bandwidth_bytes_per_sec: 16 * 1024 * 1024,
             storage_root: storage_root.into(),
             checkpoint_every: 8,

@@ -21,11 +21,6 @@ pub(crate) struct ClusterMetrics {
     pub dup_batches: Counter,
     /// Watchdog re-proposals of batches lost with a crashed leader.
     pub resubmits: Counter,
-    /// Doomed transactions pulled from a batch by the conflict-aware
-    /// cutter and re-endorsed.
-    pub reorder_early_aborts: Counter,
-    /// Dependency-cycle victims deferred to a later batch.
-    pub reorder_deferrals: Counter,
     /// Per-peer: committed blocks the peer has not applied yet.
     behind: Vec<Gauge>,
     /// Per-peer: virtual µs between global commit and local apply of the
@@ -39,9 +34,6 @@ pub(crate) struct ClusterMetrics {
     pub trace_queue_spans: Counter,
     pub trace_replicate_spans: Counter,
     pub trace_commit_spans: Counter,
-    /// Trace contexts handed from an aborted/deferred tx to its re-endorsed
-    /// successor (the trace id survives re-endorsement).
-    pub trace_requeues: Counter,
     /// Perfetto process lane for the submission (gateway) side.
     pub gateway_proc: u64,
     /// Perfetto process lanes, one per orderer.
@@ -67,8 +59,6 @@ impl ClusterMetrics {
             batches: r.counter("lv_cluster_batches_total", &[]),
             dup_batches: r.counter("lv_cluster_dup_batches_total", &[]),
             resubmits: r.counter("lv_cluster_resubmits_total", &[]),
-            reorder_early_aborts: r.counter("lv_cluster_reorder_early_aborts_total", &[]),
-            reorder_deferrals: r.counter("lv_cluster_reorder_deferrals_total", &[]),
             behind: Vec::new(),
             lag_us: Vec::new(),
             catchup_snapshot_us: r.histogram("lv_cluster_catchup_us", &[("method", "snapshot")]),
@@ -77,7 +67,6 @@ impl ClusterMetrics {
             trace_queue_spans: r.counter("lv_trace_spans_total", &[("stage", "queue")]),
             trace_replicate_spans: r.counter("lv_trace_spans_total", &[("stage", "replicate")]),
             trace_commit_spans: r.counter("lv_trace_spans_total", &[("stage", "commit")]),
-            trace_requeues: r.counter("lv_trace_requeues_total", &[]),
             gateway_proc: tracer.process(&format!("{lane_prefix}gateway")),
             orderer_procs: (0..orderers)
                 .map(|o| tracer.process(&format!("{lane_prefix}orderer-{o}")))

@@ -7,19 +7,17 @@
 //!    run. Trace contexts ride the `OrderedBatch` wire encoding whether or
 //!    not a tracer is listening, so a traced run and an untraced run of
 //!    the same seed must be bit-identical (checked as a property over
-//!    random seeds with the reorder stage both on and off).
+//!    random seeds and over a hot and a wider key space).
 //! 2. **Causality is closed**: every `peer.commit` span recorded anywhere
 //!    in the cluster walks back — commit → replicate → queue → submit —
 //!    to a root `submit` span carrying the same trace id, including
-//!    transactions that were requeued by the conflict-aware cutter or
-//!    re-proposed by the submission watchdog.
+//!    transactions that were re-proposed by the submission watchdog.
 
 use std::collections::HashMap;
 
 use fabric_store::testdir::TestDir;
 use ledgerview_cluster::cluster::stage;
 use ledgerview_cluster::{BootstrapMode, ClusterConfig, ClusterReport, ClusterSim, Fault};
-use ledgerview_gateway::ReorderConfig;
 use ledgerview_simnet::SimTime;
 use ledgerview_telemetry::{SpanRecord, Telemetry, TraceContext};
 use proptest::prelude::*;
@@ -31,13 +29,10 @@ const SECOND: SimTime = SimTime::from_secs(1);
 fn run_drill(
     root: &std::path::Path,
     seed: u64,
-    reorder: ReorderConfig,
     keys: u64,
     telemetry: Option<&Telemetry>,
 ) -> ClusterReport {
-    let mut config = ClusterConfig::new(root, seed);
-    config.reorder = reorder;
-    let mut sim = ClusterSim::new(config).expect("cluster builds");
+    let mut sim = ClusterSim::new(ClusterConfig::new(root, seed)).expect("cluster builds");
     if let Some(t) = telemetry {
         sim.set_telemetry(t);
     }
@@ -63,11 +58,12 @@ fn run_drill(
 }
 
 /// Field-by-field equality over everything the drill determines: commit
-/// order, state roots, replica heights, and every counter a tracing side
-/// effect could plausibly bump.
+/// order, state roots, replica heights, MVCC outcomes, and every counter a
+/// tracing side effect could plausibly bump.
 fn assert_reports_identical(a: &ClusterReport, b: &ClusterReport) {
     assert_eq!(a.blocks, b.blocks);
     assert_eq!(a.txs, b.txs);
+    assert_eq!(a.valid_txs, b.valid_txs);
     assert_eq!(a.batch_history, b.batch_history, "same commit order");
     assert_eq!(a.canonical_roots, b.canonical_roots, "same roots");
     assert_eq!(a.peer_heights, b.peer_heights);
@@ -78,10 +74,6 @@ fn assert_reports_identical(a: &ClusterReport, b: &ClusterReport) {
     assert_eq!(a.dup_batches, b.dup_batches);
     assert_eq!(a.failed_batches, b.failed_batches);
     assert_eq!(a.submit_errors, b.submit_errors);
-    assert_eq!(a.reorder_early_aborts, b.reorder_early_aborts);
-    assert_eq!(a.reorder_deferrals, b.reorder_deferrals);
-    assert_eq!(a.reorder_pairs, b.reorder_pairs);
-    assert_eq!(a.reorder_cycles, b.reorder_cycles);
     assert!(a.divergences.is_empty());
     assert!(a.election_violations.is_empty());
 }
@@ -90,22 +82,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Tracing on vs. off is bit-identical across the full fault drill,
-    /// for random seeds and with the reorder stage both on and off.
+    /// for random seeds over a hot (3) and a wider (10) key space.
     #[test]
     fn tracing_never_perturbs_the_drill(
         seed in 0u64..100_000,
-        reorder_on in any::<bool>(),
+        keys in prop_oneof![Just(3u64), Just(10u64)],
     ) {
-        let (reorder, keys) = if reorder_on {
-            (ReorderConfig::enabled(), 3)
-        } else {
-            (ReorderConfig::default(), 10)
-        };
         let dir_off = TestDir::new("trace-diff-off");
         let dir_on = TestDir::new("trace-diff-on");
         let telemetry = Telemetry::wall_clock();
-        let untraced = run_drill(dir_off.path(), seed, reorder.clone(), keys, None);
-        let traced = run_drill(dir_on.path(), seed, reorder, keys, Some(&telemetry));
+        let untraced = run_drill(dir_off.path(), seed, keys, None);
+        let traced = run_drill(dir_on.path(), seed, keys, Some(&telemetry));
         assert_reports_identical(&untraced, &traced);
         prop_assert!(
             !telemetry.tracer().recent().is_empty(),
@@ -125,25 +112,14 @@ fn parent_of<'s>(
 
 /// Every peer commit span across the fault drill links back to its
 /// submission: commit → replicate → queue → submit, same trace id at
-/// every hop, root parentless. Requeued transactions keep the same trace
-/// id through re-endorsement, and watchdog re-proposals are deduplicated
+/// every hop, root parentless. Watchdog re-proposals are deduplicated
 /// down to a single replicate span per transaction.
 #[test]
 fn every_peer_commit_links_back_to_its_submission() {
     let dir = TestDir::new("trace-causality");
     let telemetry = Telemetry::wall_clock();
-    let report = run_drill(
-        dir.path(),
-        42,
-        ReorderConfig::enabled(),
-        3,
-        Some(&telemetry),
-    );
+    let report = run_drill(dir.path(), 42, 3, Some(&telemetry));
     assert_eq!(report.txs, 200, "every submission commits exactly once");
-    assert!(
-        report.reorder_deferrals + report.reorder_early_aborts > 0,
-        "drill must exercise the requeue path: {report:?}"
-    );
 
     let spans = telemetry.tracer().recent();
     assert_eq!(
@@ -199,22 +175,6 @@ fn every_peer_commit_links_back_to_its_submission() {
         assert_eq!(replicate.id, ctx.span_id(stage::REPLICATE));
         assert_eq!(queue.id, ctx.span_id(stage::QUEUE));
         assert_eq!(submit.id, ctx.span_id(stage::SUBMIT));
-    }
-
-    // Requeued transactions stay on their original trace: each requeue
-    // span is an annotation parented under the submit root, and the
-    // requeued trace still has a full commit chain (checked above).
-    let requeues: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "order.requeue").collect();
-    assert!(!requeues.is_empty(), "reorder drill must requeue");
-    for rq in &requeues {
-        let trace = rq.trace_id.expect("requeue spans carry a trace id");
-        let submit = parent_of(&by_id, rq).expect("requeue links to submit");
-        assert_eq!(submit.name, "submit");
-        assert_eq!(submit.trace_id, Some(trace));
-        assert!(
-            lanes_by_trace.contains_key(&trace),
-            "requeued tx {trace:#x} still commits on some peer"
-        );
     }
 
     // Watchdog re-proposals are deduplicated: one replicate span per

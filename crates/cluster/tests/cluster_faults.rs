@@ -5,7 +5,6 @@
 
 use fabric_store::testdir::TestDir;
 use ledgerview_cluster::{BootstrapMode, ClusterConfig, ClusterReport, ClusterSim, Fault};
-use ledgerview_gateway::ReorderConfig;
 use ledgerview_simnet::SimTime;
 
 const SECOND: SimTime = SimTime::from_secs(1);
@@ -14,20 +13,13 @@ const SECOND: SimTime = SimTime::from_secs(1);
 /// mid-load, crash a peer and restart it, and bootstrap a fresh peer from
 /// a shipped snapshot — then require convergence.
 fn run_scenario(root: &std::path::Path, seed: u64) -> (ClusterReport, usize) {
-    run_drill(root, seed, ReorderConfig::default(), 10)
+    run_drill(root, seed, 10)
 }
 
-/// The same drill with a configurable batch cutter and key-space width
-/// (fewer keys ⇒ more intra-batch conflicts for the reorder stage).
-fn run_drill(
-    root: &std::path::Path,
-    seed: u64,
-    reorder: ReorderConfig,
-    keys: u64,
-) -> (ClusterReport, usize) {
-    let mut config = ClusterConfig::new(root, seed);
-    config.reorder = reorder;
-    let mut sim = ClusterSim::new(config).expect("cluster builds");
+/// The same drill with a configurable key-space width (fewer keys ⇒ more
+/// intra-batch MVCC conflicts).
+fn run_drill(root: &std::path::Path, seed: u64, keys: u64) -> (ClusterReport, usize) {
+    let mut sim = ClusterSim::new(ClusterConfig::new(root, seed)).expect("cluster builds");
 
     // 200 increments spread across the first four seconds.
     sim.schedule_counter_load(
@@ -99,16 +91,17 @@ fn same_seed_reproduces_bit_identical_history() {
 }
 
 #[test]
-fn reordering_enabled_drill_stays_bit_identical_across_failover() {
+fn contended_drill_stays_bit_identical_across_failover() {
     // The same fault schedule — leader kill, peer crash + restart replay,
-    // snapshot bootstrap — with the conflict-aware cutter switched on and
-    // a narrow hot key space. Reordering decisions are made once, before
-    // replication, so they must survive failover: two same-seed runs stay
-    // bit-identical and every replica carries the canonical roots.
-    let dir_a = TestDir::new("cluster-reorder-a");
-    let dir_b = TestDir::new("cluster-reorder-b");
-    let (a, peer_a) = run_drill(dir_a.path(), 42, ReorderConfig::enabled(), 3);
-    let (b, peer_b) = run_drill(dir_b.path(), 42, ReorderConfig::enabled(), 3);
+    // snapshot bootstrap — over a narrow hot key space, so many batches
+    // carry transactions that fail MVCC. Validity is decided by the
+    // replicated batch order alone, so it must survive failover: two
+    // same-seed runs stay bit-identical, valid counts included, and every
+    // replica carries the canonical roots.
+    let dir_a = TestDir::new("cluster-contended-a");
+    let dir_b = TestDir::new("cluster-contended-b");
+    let (a, peer_a) = run_drill(dir_a.path(), 42, 3);
+    let (b, peer_b) = run_drill(dir_b.path(), 42, 3);
 
     assert!(a.blocks > 0, "load must commit blocks");
     assert_eq!(peer_a, peer_b);
@@ -116,28 +109,60 @@ fn reordering_enabled_drill_stays_bit_identical_across_failover() {
     assert_eq!(a.canonical_roots, b.canonical_roots, "same roots");
     assert_eq!(a.peer_heights, b.peer_heights);
     assert_eq!(a.peer_roots, b.peer_roots);
-    assert_eq!(a.reorder_early_aborts, b.reorder_early_aborts);
-    assert_eq!(a.reorder_deferrals, b.reorder_deferrals);
-    assert_eq!(a.reorder_pairs, b.reorder_pairs);
-    assert_eq!(a.reorder_cycles, b.reorder_cycles);
+    assert_eq!(a.valid_txs, b.valid_txs, "same MVCC outcomes");
 
     assert!(a.divergences.is_empty(), "no state-root divergence");
     assert!(a.election_violations.is_empty(), "election safety");
     assert_eq!(a.failed_batches, 0, "no batch dropped");
-    assert_eq!(a.submit_errors, 0, "re-endorsements must succeed");
+    assert_eq!(a.submit_errors, 0, "no endorsement failures");
 
-    // 200 increments over 3 keys at a 250 ms batch interval: the cutter
-    // must actually have had conflicts to untangle.
+    // 200 increments over 3 keys at a 250 ms batch interval: some
+    // transactions must actually have lost an MVCC race.
+    assert_eq!(a.txs, 200, "every submission commits exactly once");
     assert!(
-        a.reorder_deferrals + a.reorder_early_aborts > 0,
-        "drill must exercise the reorder stage: {a:?}"
+        a.valid_txs < a.txs,
+        "drill must produce MVCC-invalid commits: {a:?}"
     );
-    // Every peer ends on the canonical root even though blocks were
-    // composed by the conflict-aware cutter.
+    // Every peer ends on the canonical root even though blocks carried
+    // invalid transactions.
     let tip = *a.canonical_roots.last().expect("blocks committed");
     for root in a.peer_roots.iter().flatten() {
         assert_eq!(*root, tip);
     }
+}
+
+#[test]
+fn valid_txs_counts_exactly_the_applied_increments() {
+    // Three hot counters: every valid commit adds exactly 1 to one of
+    // them and every invalid one adds nothing, so the counters' sum is
+    // the goodput numerator.
+    let dir = TestDir::new("cluster-goodput");
+    let mut sim = ClusterSim::new(ClusterConfig::new(dir.path(), 9)).expect("cluster builds");
+    sim.schedule_counter_load(SimTime::from_millis(300), SimTime::from_millis(10), 120, 3);
+    sim.run_until_converged(SimTime::from_secs(60))
+        .expect("cluster converges");
+    let report = sim.report();
+    let counted: u64 = (0..3)
+        .map(|k| {
+            let raw = sim
+                .canonical_state()
+                .get(&format!("k{k}"))
+                .expect("every hot key was written");
+            String::from_utf8(raw)
+                .expect("utf-8 counter")
+                .parse::<u64>()
+                .expect("integer counter")
+        })
+        .sum();
+    assert_eq!(report.txs, 120, "every submission commits exactly once");
+    assert_eq!(
+        report.valid_txs, counted,
+        "valid commits = applied increments"
+    );
+    assert!(
+        report.valid_txs < report.txs,
+        "hot keys must invalidate some commits: {report:?}"
+    );
 }
 
 #[test]

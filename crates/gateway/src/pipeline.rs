@@ -221,7 +221,7 @@ pub enum CompletionOutcome {
     /// transaction read was overwritten by a commit after its endorsement,
     /// so it fails MVCC under every intra-block order — and its reorder
     /// requeue budget is exhausted. Only produced with
-    /// [`ReorderConfig::early_abort`] on.
+    /// [`ReorderConfig::enabled`] on.
     EarlyAborted {
         /// The read key whose committed version went stale.
         key: String,
@@ -830,24 +830,19 @@ impl Gateway {
     /// committed state, defer cycle victims to the next block, and commit
     /// the surviving schedule via the ordered-commit path.
     fn cut_reordered(&mut self, trigger_us: u64) {
-        let n = self.chain.pending_count();
-        if n == 0 {
+        if self.chain.pending_count() == 0 {
             return;
         }
         let telemetry = self.metrics.as_ref().map(|m| m.telemetry.clone());
         let _span = telemetry.as_ref().map(|t| t.span("gateway.cut"));
-        let doomed = if self.config.reorder.early_abort {
-            self.chain.precheck_pending()
-        } else {
-            vec![None; n]
-        };
+        let doomed = self.chain.precheck_pending();
         let plan = {
             let pending = self.chain.pending();
             let rwsets: Vec<&RwSet> = pending.iter().map(|tx| &tx.rwset).collect();
             let routing = &self.routing;
             let inflight = &self.inflight;
             let budget = self.config.reorder.max_requeues;
-            reorder::plan(&rwsets, &doomed, &self.config.reorder, |i| {
+            reorder::plan(&rwsets, &doomed, |i| {
                 routing
                     .get(&pending[i].tx_id)
                     .and_then(|req| inflight.get(req))

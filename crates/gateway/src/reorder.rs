@@ -30,18 +30,18 @@
 //!    remaining subgraph contains a cycle (every remaining node has a
 //!    remaining predecessor). The planner walks min-index predecessors
 //!    from the smallest remaining index until a node repeats — a
-//!    deterministic cycle — and *defers* the cycle's largest index (the
-//!    latest arrival loses), pulling it from the block to re-endorse
-//!    into the next one. If deferral is disabled or the victim is out of
-//!    budget, the cycle's *smallest* index is force-scheduled instead
+//!    deterministic cycle — and *defers* the cycle's largest deferrable
+//!    index (the latest arrival loses), pulling it from the block to
+//!    re-endorse into the next one. If no member may defer (out of
+//!    budget), the cycle's *smallest* index is force-scheduled instead
 //!    and its violated predecessors simply take their chances with MVCC
 //!    — the plan degrades to the unordered behaviour, never to a forced
 //!    abort.
 //!
 //! Every step iterates deterministic structures (`BTreeMap` over keys,
 //! index-ordered heaps), so the plan is a pure function of the pending
-//! read/write sets, the doomed-flags, and the config: same seed, same
-//! block composition.
+//! read/write sets, the doomed-flags, and the deferral budget: same
+//! seed, same block composition.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -52,16 +52,9 @@ use fabric_sim::chaincode::RwSet;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReorderConfig {
     /// Master switch. Off, the cutter commits pending transactions in
-    /// arrival order (the unordered baseline) and none of the other
-    /// knobs matter.
+    /// arrival order (the unordered baseline) and the budget does not
+    /// matter.
     pub enabled: bool,
-    /// Pull transactions whose endorsed read versions are already stale
-    /// against committed state — doomed under every order — before they
-    /// spend a validation slot.
-    pub early_abort: bool,
-    /// Pull dependency-cycle victims from the block for re-endorsement
-    /// into the next one, instead of letting them fail MVCC here.
-    pub defer: bool,
     /// Per-request budget of reorder requeues (early-abort plus deferral
     /// re-endorsements). A cycle victim over budget stays in the block
     /// and takes its chances with MVCC; a doomed transaction over budget
@@ -70,20 +63,18 @@ pub struct ReorderConfig {
 }
 
 impl Default for ReorderConfig {
-    /// Disabled (the unordered baseline); switched on, early abort and
-    /// deferral both default on with a 64-requeue budget.
+    /// Disabled (the unordered baseline), with a 64-requeue budget for
+    /// when it is switched on.
     fn default() -> Self {
         ReorderConfig {
             enabled: false,
-            early_abort: true,
-            defer: true,
             max_requeues: 64,
         }
     }
 }
 
 impl ReorderConfig {
-    /// The stage switched on with default sub-knobs.
+    /// The stage switched on with the default budget.
     pub fn enabled() -> ReorderConfig {
         ReorderConfig {
             enabled: true,
@@ -123,7 +114,8 @@ pub struct ReorderPlan {
 /// read key already stale against committed state, or `None` if all
 /// reads are fresh (see [`FabricChain::precheck`]; pass all-`None` to
 /// plan without early abort). `may_defer(i)` reports whether transaction
-/// `i` still has requeue budget — consulted only for cycle victims.
+/// `i` still has requeue budget — consulted only for cycle victims; pass
+/// `|_| false` to plan without deferral.
 ///
 /// Deterministic: the plan is a pure function of the arguments.
 ///
@@ -134,7 +126,6 @@ pub struct ReorderPlan {
 pub fn plan(
     rwsets: &[&RwSet],
     doomed: &[Option<String>],
-    config: &ReorderConfig,
     mut may_defer: impl FnMut(usize) -> bool,
 ) -> ReorderPlan {
     assert_eq!(
@@ -148,12 +139,10 @@ pub fn plan(
     // aborted, deferred, or already scheduled).
     let mut removed = vec![false; n];
 
-    if config.early_abort {
-        for (i, verdict) in doomed.iter().enumerate() {
-            if let Some(key) = verdict {
-                plan.early_aborts.push((i, key.clone()));
-                removed[i] = true;
-            }
+    for (i, verdict) in doomed.iter().enumerate() {
+        if let Some(key) = verdict {
+            plan.early_aborts.push((i, key.clone()));
+            removed[i] = true;
         }
     }
 
@@ -262,12 +251,7 @@ pub fn plan(
         // Defer the latest arrival in the cycle that still has budget;
         // with none, force-schedule the earliest arrival (its violated
         // predecessors fall through to MVCC — the unordered behaviour).
-        let victim = if config.defer {
-            cycle.iter().copied().filter(|&v| may_defer(v)).max()
-        } else {
-            None
-        };
-        match victim {
+        match cycle.iter().copied().filter(|&v| may_defer(v)).max() {
             Some(v) => {
                 plan.deferred.push(v);
                 release(v, &mut removed, &mut in_deg, &mut ready, &mut remaining);
@@ -326,20 +310,16 @@ mod tests {
         }
     }
 
-    fn plan_all(rwsets: &[RwSet], config: &ReorderConfig) -> ReorderPlan {
+    fn plan_all(rwsets: &[RwSet]) -> ReorderPlan {
         let refs: Vec<&RwSet> = rwsets.iter().collect();
         let doomed = vec![None; rwsets.len()];
-        plan(&refs, &doomed, config, |_| true)
-    }
-
-    fn on() -> ReorderConfig {
-        ReorderConfig::enabled()
+        plan(&refs, &doomed, |_| true)
     }
 
     #[test]
     fn conflict_free_block_keeps_arrival_order() {
         let sets = vec![rw(&["a"], &["a"]), rw(&["b"], &["b"]), rw(&[], &["c"])];
-        let p = plan_all(&sets, &on());
+        let p = plan_all(&sets);
         assert_eq!(p.order, vec![0, 1, 2]);
         assert!(p.early_aborts.is_empty() && p.deferred.is_empty());
         assert_eq!(p.stats, ReorderStats::default());
@@ -350,7 +330,7 @@ mod tests {
         // Arrival order writer-then-reader of "a": the plan must invert
         // the pair so the reader's version check survives.
         let sets = vec![rw(&["x"], &["a"]), rw(&["a"], &["b"])];
-        let p = plan_all(&sets, &on());
+        let p = plan_all(&sets);
         assert_eq!(p.order, vec![1, 0]);
         assert_eq!(p.stats.reordered_pairs, 1);
         assert_eq!(p.stats.cycles_broken, 0);
@@ -361,7 +341,7 @@ mod tests {
         // Two blind writes of "k": write-write edges pin the final value
         // to the arrival-order last writer, so no inversion may occur.
         let sets = vec![rw(&[], &["k"]), rw(&[], &["k"]), rw(&[], &["k"])];
-        let p = plan_all(&sets, &on());
+        let p = plan_all(&sets);
         assert_eq!(p.order, vec![0, 1, 2]);
     }
 
@@ -376,7 +356,7 @@ mod tests {
             rw(&["hot"], &["hot"]),
             rw(&["hot"], &["hot"]),
         ];
-        let p = plan_all(&sets, &on());
+        let p = plan_all(&sets);
         assert_eq!(p.order, vec![0]);
         assert_eq!(p.deferred, vec![1, 2, 3]);
         assert_eq!(p.stats.cycles_broken, 3);
@@ -388,7 +368,7 @@ mod tests {
         // reader precedes a's writer) and t1 → t0 — a write-write cycle
         // across two keys. The later arrival is deferred.
         let sets = vec![rw(&["a"], &["b"]), rw(&["b"], &["a"])];
-        let p = plan_all(&sets, &on());
+        let p = plan_all(&sets);
         assert_eq!(p.order, vec![0]);
         assert_eq!(p.deferred, vec![1]);
         assert_eq!(p.stats.cycles_broken, 1);
@@ -400,12 +380,12 @@ mod tests {
         // alone in a block — no self-edge; a chain of them on one key
         // degenerates to the hot-key clique.
         let solo = vec![rw(&["k"], &["k"])];
-        let p = plan_all(&solo, &on());
+        let p = plan_all(&solo);
         assert_eq!(p.order, vec![0]);
         assert!(p.deferred.is_empty());
 
         let chain = vec![rw(&["k"], &["k"]), rw(&["k"], &["k"])];
-        let p = plan_all(&chain, &on());
+        let p = plan_all(&chain);
         assert_eq!(
             (p.order.as_slice(), p.deferred.as_slice()),
             (&[0][..], &[1][..])
@@ -425,8 +405,8 @@ mod tests {
                 rw(&[rk.as_str()], &[wk.as_str()])
             })
             .collect();
-        let a = plan_all(&sets, &on());
-        let b = plan_all(&sets, &on());
+        let a = plan_all(&sets);
+        let b = plan_all(&sets);
         assert_eq!(a, b, "planning must be deterministic");
         assert_eq!(
             a.order.len() + a.deferred.len(),
@@ -450,22 +430,11 @@ mod tests {
         ];
         let refs: Vec<&RwSet> = sets.iter().collect();
         let doomed = vec![None; sets.len()];
-        let p = plan(&refs, &doomed, &on(), |_| false);
+        let p = plan(&refs, &doomed, |_| false);
         assert_eq!(p.order, vec![0, 1, 2]);
         assert!(p.deferred.is_empty());
         // Two forced breaks free the last node to schedule normally.
         assert_eq!(p.stats.cycles_broken, 2);
-
-        let p = plan(
-            &refs,
-            &doomed,
-            &ReorderConfig {
-                defer: false,
-                ..on()
-            },
-            |_| true,
-        );
-        assert_eq!(p.order, vec![0, 1, 2]);
     }
 
     #[test]
@@ -473,16 +442,12 @@ mod tests {
         let sets = [rw(&["a"], &["a"]), rw(&["b"], &["b"])];
         let refs: Vec<&RwSet> = sets.iter().collect();
         let doomed = vec![None, Some("b".to_string())];
-        let p = plan(&refs, &doomed, &on(), |_| true);
+        let p = plan(&refs, &doomed, |_| true);
         assert_eq!(p.order, vec![0]);
         assert_eq!(p.early_aborts, vec![(1, "b".to_string())]);
 
-        // With early abort off, the verdicts are ignored.
-        let cfg = ReorderConfig {
-            early_abort: false,
-            ..on()
-        };
-        let p = plan(&refs, &doomed, &cfg, |_| true);
+        // All-`None` verdicts plan without early abort.
+        let p = plan(&refs, &[None, None], |_| true);
         assert_eq!(p.order, vec![0, 1]);
         assert!(p.early_aborts.is_empty());
     }

@@ -332,7 +332,7 @@ proptest! {
         // The planner pulls exactly the flagged set, and what it keeps is
         // serially valid against the pre-block state in scheduled order.
         let rwsets: Vec<&RwSet> = batch.iter().map(|t| &t.rwset).collect();
-        let plan = reorder::plan(&rwsets, &doomed, &ReorderConfig::enabled(), |_| true);
+        let plan = reorder::plan(&rwsets, &doomed, |_| true);
         let pulled: BTreeSet<usize> = plan.early_aborts.iter().map(|(i, _)| *i).collect();
         let flagged: BTreeSet<usize> = doomed
             .iter()
@@ -422,19 +422,14 @@ proptest! {
             }
         };
 
-        let deferring = ReorderConfig::enabled();
-        let a = reorder::plan(&refs, &doomed, &deferring, |_| true);
-        let b = reorder::plan(&refs, &doomed, &deferring, |_| true);
+        let a = reorder::plan(&refs, &doomed, |_| true);
+        let b = reorder::plan(&refs, &doomed, |_| true);
         prop_assert_eq!(&a, &b, "equal inputs must produce equal plans");
         check(&a, true);
 
         // With deferral off the planner degrades to in-block MVCC: every
         // transaction stays, in some deterministic order.
-        let forcing = ReorderConfig {
-            defer: false,
-            ..ReorderConfig::enabled()
-        };
-        let f = reorder::plan(&refs, &doomed, &forcing, |_| true);
+        let f = reorder::plan(&refs, &doomed, |_| false);
         check(&f, false);
     }
 }
